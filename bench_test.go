@@ -385,6 +385,43 @@ func BenchmarkPacketPathFingerprinted(b *testing.B) {
 	b.ReportMetric(float64(len(rec.Records())), "digest-records")
 }
 
+// BenchmarkObserverOverhead runs the fig6 cell pair of perfbench's
+// observed-sweep workload (TCN and RED at load 0.9, 250 flows, runner
+// seed 3, serial) bare, with each observer attached alone, and with all
+// three. Each sub-benchmark's ns/op over bare is that observer's whole
+// overhead as a user pays it: the DigestState and scope work it causes in
+// other packages, and, for the fingerprint, the epoch ticks that keep the
+// engine running to the runner's deadline.
+func BenchmarkObserverOverhead(b *testing.B) {
+	fingerprint := func() *digest.Recorder { return digest.New(digest.Config{EpochNs: int64(sim.Millisecond)}) }
+	ledger := func() *trace.Ledger { return trace.NewLedger(1 << 16) }
+	for _, o := range []struct {
+		name string
+		obs  func() *experiments.Obs
+	}{
+		{"bare", func() *experiments.Obs { return nil }},
+		{"fingerprint", func() *experiments.Obs { return &experiments.Obs{Fingerprint: fingerprint()} }},
+		{"profiler", func() *experiments.Obs { return &experiments.Obs{Profiler: prof.New(prof.Config{})} }},
+		{"ledger", func() *experiments.Obs { return &experiments.Obs{Ledger: ledger()} }},
+		{"all", func() *experiments.Obs {
+			return &experiments.Obs{Fingerprint: fingerprint(), Profiler: prof.New(prof.Config{}), Ledger: ledger()}
+		}},
+	} {
+		b.Run(o.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				experiments.RunFig6(experiments.SweepConfig{ //tcnlint:walltaint the profiler has no wall clock (Config.Wall nil); it only observes
+					Loads:   []float64{0.9},
+					Flows:   250,
+					Seed:    3,
+					Schemes: []experiments.Scheme{experiments.SchemeTCN, experiments.SchemeRED},
+					Obs:     o.obs(),
+					Workers: 1,
+				})
+			}
+		})
+	}
+}
+
 // BenchmarkPacketPathProfiled is BenchmarkPacketPathSteadyState with the
 // cost profiler's deterministic plane attached: scope brackets on both
 // switch ports and the transport stack plus the per-event attribution

@@ -18,7 +18,10 @@
 // state is ever rendered through text, and no map is ever ranged.
 package digest
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // FNV-1a 64-bit parameters. FNV over fixed-width little-endian fields is
 // fast, allocation-free, and has no data-dependent branching — exactly
@@ -37,8 +40,16 @@ var canonicalNaN = math.Float64bits(math.NaN())
 // zero value is NOT ready to use; start with NewHash so the seed is part
 // of every digest. Hash is a plain value: embed it, reuse it, never share
 // it across goroutines mid-write.
+//
+// A Hash handed to DigestState by a Scope is in collect mode: its writes
+// append the very bytes they would fold (little-endian fields, length-
+// prefixed strings) to the scope's buffer, and the scope hashes that byte
+// stream itself (see memo.go). Either way the digest is FNV-1a over the
+// same bytes in the same order, so implementations cannot tell the modes
+// apart — and must not call Sum64.
 type Hash struct {
-	h uint64
+	h   uint64
+	buf []byte // collect mode when non-nil: the bytes written so far
 }
 
 // NewHash returns a hash primed with the recorder seed. Distinct seeds
@@ -53,6 +64,10 @@ func NewHash(seed uint64) Hash {
 // WriteUint64 folds one 64-bit field into the digest, little-endian
 // byte by byte (fixed width: writing 1 then 2 differs from writing 513).
 func (h *Hash) WriteUint64(v uint64) {
+	if h.buf != nil {
+		h.buf = binary.LittleEndian.AppendUint64(h.buf, v)
+		return
+	}
 	x := h.h
 	for i := 0; i < 8; i++ {
 		x ^= v & 0xff
@@ -71,11 +86,11 @@ func (h *Hash) WriteInt(v int) { h.WriteUint64(uint64(int64(v))) }
 
 // WriteBool folds one flag into the digest.
 func (h *Hash) WriteBool(v bool) {
+	var b uint64
 	if v {
-		h.WriteUint64(1)
-	} else {
-		h.WriteUint64(0)
+		b = 1
 	}
+	h.WriteUint64(b)
 }
 
 // WriteFloat64 folds one float into the digest by bit pattern, after
@@ -83,15 +98,13 @@ func (h *Hash) WriteBool(v bool) {
 // equal, so they must digest equal) and every NaN hashes as one pattern.
 // Floats are never formatted as text — the bit pattern is the state.
 func (h *Hash) WriteFloat64(v float64) {
+	b := math.Float64bits(v)
 	if math.IsNaN(v) {
-		h.WriteUint64(canonicalNaN)
-		return
+		b = canonicalNaN
+	} else if v == 0 { //tcnlint:floatexact canonicalization: -0 and +0 compare equal so they must digest equal
+		b = 0
 	}
-	if v == 0 { //tcnlint:floatexact canonicalization: -0 and +0 compare equal so they must digest equal
-		h.WriteUint64(0)
-		return
-	}
-	h.WriteUint64(math.Float64bits(v))
+	h.WriteUint64(b)
 }
 
 // WriteString folds a label into the digest, length-prefixed so
@@ -99,6 +112,11 @@ func (h *Hash) WriteFloat64(v float64) {
 // not per-event state; Snapshot does not call this on the hot path.
 func (h *Hash) WriteString(s string) {
 	h.WriteInt(len(s))
+	if h.buf != nil {
+		//tcnlint:hotpath collect buffer is reused; it grows only past every earlier snapshot's size
+		h.buf = append(h.buf, s...)
+		return
+	}
 	for i := 0; i < len(s); i++ {
 		h.h ^= uint64(s[i])
 		h.h *= fnvPrime64

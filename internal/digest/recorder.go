@@ -22,7 +22,7 @@ type Config struct {
 	// Two comparable runs must use the same period so their epochs align.
 	EpochNs int64
 	// RecordCap preallocates the record store (default 1<<15 records).
-	// The store grows past it, but a capacity-guarded run stays
+	// The store doubles past it, but a capacity-guarded run stays
 	// allocation-free — size it to epochs × components for pinned paths.
 	RecordCap int
 	// Fine enables per-event digests bracketed around FineAtEpoch: every
@@ -80,6 +80,7 @@ type FineRecord struct {
 // recorder — attaching it forces a sweep serial (experiments.Obs.Active).
 type Recorder struct {
 	cfg     Config
+	seeded  uint64 // hash state after the seed, where every digest starts
 	scopes  []*Scope
 	byOwner map[any]*Scope
 	records []Record
@@ -91,6 +92,7 @@ func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	return &Recorder{
 		cfg:     cfg,
+		seeded:  NewHash(cfg.Seed).h,
 		byOwner: map[any]*Scope{},
 		records: make([]Record, 0, cfg.RecordCap),
 	}
@@ -141,6 +143,16 @@ func (r *Recorder) Timeline() *Timeline {
 	return &Timeline{Seed: r.cfg.Seed, EpochNs: r.cfg.EpochNs, Records: r.records, Fine: r.fine}
 }
 
+// growRecords at least doubles the record store's capacity. Left to
+// append, a store of a million records grows by 1.25× at a time and
+// clears and copies itself about four times over by the end of a long
+// fingerprinted run.
+func (r *Recorder) growRecords(n int) {
+	grown := make([]Record, len(r.records), 2*cap(r.records)+n)
+	copy(grown, r.records)
+	r.records = grown
+}
+
 // registration pairs a component with its identity.
 type registration struct {
 	kind  Component
@@ -160,10 +172,18 @@ type Scope struct {
 	fineOn bool
 
 	// fineChain is the chained whole-scope digest fine mode extends per
-	// event; h is the reusable hash scratch (a local would escape through
-	// the interface call and allocate).
+	// event.
 	fineChain uint64
-	h         Hash
+
+	// The snapshot kernel's state (memo.go): h is the collect-mode hash
+	// handed to DigestState (a local would escape through the interface
+	// call and allocate); cur and prev are this and the previous
+	// collect's bytes, curEnd and prevEnd each component's end offset in
+	// them; memo[i][j] is the memo of component i's block j.
+	h               Hash
+	cur, prev       []byte
+	curEnd, prevEnd []int
+	memo            [][]*blockMemo
 }
 
 // Label returns the scope's cell label.
@@ -186,20 +206,34 @@ func (s *Scope) Register(kind Component, label string, d Digestable) {
 	}
 	s.comps = append(s.comps, registration{kind: kind, label: label, d: d})
 	s.chain = append(s.chain, 0)
+	s.curEnd = append(s.curEnd, 0)
+	s.prevEnd = append(s.prevEnd, 0)
+	s.memo = append(s.memo, nil)
+}
+
+// start returns the hash state after the seed and a previous chain
+// digest, the prefix every snapshot digest begins with.
+func (s *Scope) start(chain uint64) uint64 {
+	h := Hash{h: s.rec.seeded}
+	h.WriteUint64(chain)
+	return h.h
 }
 
 // Snapshot records one epoch: every component's state is hashed, chained
-// onto its previous digest, and appended to the recorder. at is the sim
+// onto its previous digest, and appended to the recorder. The digest is
+// FNV-1a over seed, previous digest and the component's DigestState bytes;
+// the kernel in memo.go re-hashes only the blocks that changed. at is the sim
 // time in nanoseconds. Allocation-free while the record store stays
 // within its preallocated capacity.
 func (s *Scope) Snapshot(at int64) {
+	if len(s.rec.records)+len(s.comps) > cap(s.rec.records) {
+		s.rec.growRecords(len(s.comps))
+	}
+	s.collect()
 	for i := range s.comps {
-		s.h = NewHash(s.rec.cfg.Seed)
-		s.h.WriteUint64(s.chain[i])
-		s.comps[i].d.DigestState(&s.h)
-		d := s.h.Sum64()
+		d := s.fold(i, s.start(s.chain[i]))
 		s.chain[i] = d
-		//tcnlint:hotpath record store is preallocated to RecordCap; append grows only past the configured horizon
+		//tcnlint:hotpath capacity is ensured above (RecordCap, doubled by growRecords past it); this append never grows
 		s.rec.records = append(s.rec.records, Record{
 			Scope: s.label, Epoch: s.epoch, At: at,
 			Component: s.comps[i].kind, Label: s.comps[i].label, Digest: d,
@@ -218,12 +252,11 @@ func (s *Scope) FineSnapshot(event uint64, at int64) {
 	if !s.fineOn {
 		return
 	}
-	s.h = NewHash(s.rec.cfg.Seed)
-	s.h.WriteUint64(s.fineChain)
+	s.collect()
+	d := s.start(s.fineChain)
 	for i := range s.comps {
-		s.comps[i].d.DigestState(&s.h)
+		d = s.fold(i, d)
 	}
-	d := s.h.Sum64()
 	s.fineChain = d
 	//tcnlint:hotpath fine records only accrue inside the two-epoch bracket the drill-in rerun requests
 	s.rec.fine = append(s.rec.fine, FineRecord{Scope: s.label, Event: event, At: at, Digest: d})

@@ -180,6 +180,19 @@ func TestReadTimelineErrors(t *testing.T) {
 	if _, err := ReadTimeline(bytes.NewReader([]byte(noHeader))); err == nil {
 		t.Fatal("headerless stream accepted")
 	}
+	if _, err := ReadTimeline(bytes.NewReader([]byte("\n" + noHeader))); err == nil {
+		t.Fatal("headerless stream after a blank line accepted")
+	}
+	if _, err := ReadTimeline(bytes.NewReader([]byte("\n\n \n"))); err == nil {
+		t.Fatal("blank-only stream accepted")
+	}
+	header := `{"fingerprint":true,"seed":"0000000000000001","epoch_ns":1000,"epoch":0,"at_ns":0}` + "\n"
+	if _, err := ReadTimeline(bytes.NewReader([]byte(header + noHeader + header))); err == nil {
+		t.Fatal("repeated header accepted")
+	}
+	if tl, err := ReadTimeline(bytes.NewReader([]byte("\n" + header + noHeader))); err != nil || tl.Seed != 1 || len(tl.Records) != 1 {
+		t.Fatalf("header after a blank line: %v, %+v", err, tl)
+	}
 	badComp := `{"fingerprint":true,"seed":"0000000000000001","epoch_ns":1000,"epoch":0,"at_ns":0}` + "\n" +
 		`{"scope":"cell0","epoch":0,"at_ns":0,"component":"warpdrive","digest":"00000000000000aa"}` + "\n"
 	if _, err := ReadTimeline(bytes.NewReader([]byte(badComp))); err == nil {
@@ -193,23 +206,57 @@ func TestReadTimelineErrors(t *testing.T) {
 }
 
 func TestSnapshotZeroAlloc(t *testing.T) {
-	rec := New(Config{RecordCap: 1 << 15})
-	sc := rec.ScopeFor("eng")
-	comps := make([]*counter, 4)
-	for i := range comps {
-		comps[i] = &counter{}
-		sc.Register(ComponentPort, "port", comps[i])
+	// Every component changes every epoch: all misses.
+	counters := []*counter{{}, {}, {}, {}}
+	changing := make([]Digestable, len(counters))
+	for i, c := range counters {
+		changing[i] = c
 	}
-	at := int64(0)
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := range comps {
-			comps[i].n++
-		}
-		at += 1000
-		sc.Snapshot(at)
-	})
-	if allocs != 0 { //tcnlint:floatexact AllocsPerRun of a zero-alloc run is exactly 0
-		t.Fatalf("Snapshot allocates in steady state: %v allocs/op", allocs)
+	// Growing: one component grows from half a block to two and a half
+	// and starts over, so blocks appear, repeat, vanish and reappear.
+	grow := &blob{words: make([]uint64, 4*blockSize/8)}
+
+	// Each case warms up (buffers and memo tables reach their working
+	// size) and then must snapshot without allocating.
+	cases := []struct {
+		name  string
+		comps []Digestable
+		step  func(i int)
+	}{
+		{"changing", changing, func(int) {
+			for _, c := range counters {
+				c.n++
+			}
+		}},
+		// Idle: multi-block state that never changes, so every block
+		// folds from its memo once the tables are built.
+		{"idle", []Digestable{&blob{words: make([]uint64, 3*blockSize/8+5)}, &blob{words: make([]uint64, 40)}},
+			func(int) {}},
+		{"growing", []Digestable{grow, &counter{}}, func(i int) {
+			grow.words = grow.words[:(1+i%5)*blockSize/16]
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := New(Config{RecordCap: 1 << 15})
+			sc := rec.ScopeFor("eng")
+			for _, c := range tc.comps {
+				sc.Register(ComponentPort, "port", c)
+			}
+			at := int64(0)
+			snap := func() {
+				tc.step(int(at / 1000))
+				at += 1000
+				sc.Snapshot(at)
+			}
+			for i := 0; i < 20; i++ {
+				snap()
+			}
+			allocs := testing.AllocsPerRun(200, snap)
+			if allocs != 0 { //tcnlint:floatexact AllocsPerRun of a zero-alloc run is exactly 0
+				t.Fatalf("Snapshot allocates in steady state: %v allocs/op", allocs)
+			}
+		})
 	}
 }
 

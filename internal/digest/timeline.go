@@ -2,6 +2,7 @@ package digest
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -76,15 +77,18 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 }
 
 // ReadTimeline parses a fingerprint JSONL stream written by WriteJSONL.
+// Blank lines are skipped; the first other line must be the header, and
+// no later line may be one.
 func ReadTimeline(r io.Reader) (*Timeline, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	tl := &Timeline{}
 	line := 0
+	header := false
 	for sc.Scan() {
 		line++
 		raw := sc.Bytes()
-		if len(raw) == 0 {
+		if len(bytes.TrimSpace(raw)) == 0 {
 			continue
 		}
 		var l lineJSON
@@ -92,13 +96,19 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 			return nil, fmt.Errorf("digest: line %d: %w", line, err)
 		}
 		switch {
-		case l.Fingerprint:
+		case !header:
+			if !l.Fingerprint {
+				return nil, fmt.Errorf("digest: not a fingerprint stream (line %d is not the header line)", line)
+			}
 			seed, err := parseHex64(l.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("digest: line %d: bad seed %q", line, l.Seed)
 			}
 			tl.Seed = seed
 			tl.EpochNs = l.EpochNs
+			header = true
+		case l.Fingerprint:
+			return nil, fmt.Errorf("digest: line %d: repeated header line", line)
 		case l.Fine:
 			d, err := parseHex64(l.Digest)
 			if err != nil {
@@ -106,9 +116,6 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 			}
 			tl.Fine = append(tl.Fine, FineRecord{Scope: l.Scope, Event: l.Event, At: l.At, Digest: d})
 		default:
-			if line == 1 {
-				return nil, fmt.Errorf("digest: not a fingerprint stream (missing header line)")
-			}
 			c, ok := ParseComponent(l.Component)
 			if !ok {
 				return nil, fmt.Errorf("digest: line %d: unknown component %q", line, l.Component)
@@ -126,8 +133,8 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if line == 0 {
-		return nil, fmt.Errorf("digest: empty fingerprint stream")
+	if !header {
+		return nil, fmt.Errorf("digest: empty fingerprint stream (no header line)")
 	}
 	return tl, nil
 }

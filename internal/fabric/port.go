@@ -105,13 +105,15 @@ type Port struct {
 	// hot path pays only a nil check.
 	stats *obs.PortObs
 
-	// prof/scope, when attached via SetProfiler, bracket the enqueue and
-	// transmit stages with the cost profiler's port scope; hotSch and
-	// hotMarker are then instrumented wrappers of sch/marker. Nil prof =
-	// off, one nil check per stage. Digest and accessor paths always use
-	// the unwrapped sch/marker so profiling cannot change fingerprints.
+	// prof and the stage scopes, when attached via SetProfiler, bracket
+	// the enqueue and dequeue stages with the cost profiler's port frame
+	// and a stage frame under it; hotSch and hotMarker are then
+	// instrumented wrappers of sch/marker. Nil prof = off, one nil check
+	// per stage. Digest and accessor paths always use the unwrapped
+	// sch/marker so profiling cannot change fingerprints.
 	prof      *prof.Profiler
-	scope     *prof.Scope
+	enqScope  *prof.Scope
+	deqScope  *prof.Scope
 	hotSch    sched.Scheduler
 	hotMarker core.Marker
 }
@@ -158,13 +160,16 @@ func NewPort(eng *sim.Engine, cfg PortConfig, peer Receiver) *Port {
 
 // SetProfiler brackets the port's pipeline stages with cost-profiler
 // scopes: the port itself under "port:<label>" (the same label the
-// ledger and digest layers use for this port), its scheduler under
+// ledger and digest layers use for this port), Send under "enqueue" and
+// transmitNext under "dequeue" beneath it, its scheduler under
 // "sched:<name>", and its marker under "marker:<name>". Call at attach
 // time, before traffic flows; passing the profiler only swaps hot-path
 // references, so fingerprints are unchanged.
 func (pt *Port) SetProfiler(p *prof.Profiler, label string) {
 	pt.prof = p
-	pt.scope = p.NewScope("port:" + label)
+	port := p.NewScope("port:" + label)
+	pt.enqScope = port.Child("enqueue")
+	pt.deqScope = port.Child("dequeue")
 	schScope := p.NewScope("sched:" + pt.sch.Name())
 	pt.hotSch = sched.Instrument(pt.sch, schScope.Enter, p.Exit)
 	markScope := p.NewScope("marker:" + pt.marker.Name())
@@ -176,7 +181,7 @@ func (pt *Port) SetProfiler(p *prof.Profiler, label string) {
 // side marking, and kicks the transmitter if the link is idle.
 func (pt *Port) Send(p *pkt.Packet) {
 	if pt.prof != nil {
-		pt.scope.Enter()
+		pt.enqScope.Enter()
 	}
 	now := pt.eng.Now()
 	qi := pt.classify(p)
@@ -195,6 +200,7 @@ func (pt *Port) Send(p *pkt.Packet) {
 		}
 		if pt.prof != nil {
 			pt.prof.Exit()
+			pt.prof.Exit()
 		}
 		return
 	}
@@ -211,11 +217,14 @@ func (pt *Port) Send(p *pkt.Packet) {
 	if pt.OnEnqueue != nil {
 		pt.OnEnqueue(now, qi, p)
 	}
-	if !pt.busy {
-		pt.transmitNext()
-	}
+	// Both scopes close before the transmitter is kicked, so the dequeue
+	// stage profiles as port:X;dequeue whichever path reaches it.
 	if pt.prof != nil {
 		pt.prof.Exit()
+		pt.prof.Exit()
+	}
+	if !pt.busy {
+		pt.transmitNext()
 	}
 }
 
@@ -223,13 +232,14 @@ func (pt *Port) Send(p *pkt.Packet) {
 // dequeue-side marking, and occupies the link for the serialization time.
 func (pt *Port) transmitNext() {
 	if pt.prof != nil {
-		pt.scope.Enter()
+		pt.deqScope.Enter()
 	}
 	now := pt.eng.Now()
 	qi := pt.hotSch.Next(now)
 	if qi < 0 {
 		pt.busy = false
 		if pt.prof != nil {
+			pt.prof.Exit()
 			pt.prof.Exit()
 		}
 		return
@@ -266,6 +276,7 @@ func (pt *Port) transmitNext() {
 	pt.eng.AfterArg(arrival, pt.deliverFn, p)
 	pt.eng.After(txDone, pt.txFn)
 	if pt.prof != nil {
+		pt.prof.Exit()
 		pt.prof.Exit()
 	}
 }

@@ -76,6 +76,7 @@ type node struct {
 type Scope struct {
 	p     *Profiler
 	frame int32
+	outer *Scope // non-nil for a Child scope: Enter pushes outer's frame too
 	p0,
 	n0,
 	p1,
@@ -143,10 +144,26 @@ func (p *Profiler) NewScope(name string) *Scope {
 	return &Scope{p: p, frame: p.intern(name), p0: -1, p1: -1}
 }
 
+// Child returns a scope for name nested directly under s. Entering it
+// pushes both frames, s's and then name, in one call: the tree and every
+// deterministic count come out as two Enters would leave them, and only
+// the wall plane skips the sample between the two. Pair each Enter of a
+// child with two Profiler.Exit calls. A component whose stages always run
+// inside its own frame pays one Enter per stage this way. A child cannot
+// have children.
+func (s *Scope) Child(name string) *Scope {
+	if s.outer != nil {
+		panic("prof: Child of a child scope")
+	}
+	c := s.p.NewScope(name)
+	c.outer = s
+	return c
+}
+
 // Enter pushes s onto the scope stack. Components call it at the top of
 // an instrumented stage and must pair it with exactly one Profiler.Exit
-// on every return path (explicit calls, no defer — the hot path cannot
-// afford one).
+// (two for a Child scope) on every return path (explicit calls, no defer
+// — the hot path cannot afford one).
 func (s *Scope) Enter() {
 	p := s.p
 	parent := p.cur
@@ -160,6 +177,9 @@ func (s *Scope) Enter() {
 		n = p.resolve(s, parent)
 	}
 	nd := &p.nodes[n]
+	if s.outer != nil {
+		p.nodes[nd.parent].enters++
+	}
 	nd.enters++
 	if nd.depth > p.ownerDepth {
 		p.owner, p.ownerDepth = n, nd.depth
@@ -179,24 +199,35 @@ func (p *Profiler) Exit() {
 	p.cur = p.nodes[cur].parent
 }
 
-// resolve is Enter's slow path: find or create the (parent, frame) node
-// and rotate it into the scope's inline cache. New nodes appear only until
-// the tree covers every reached (parent, frame) pair, so steady state
-// allocates nothing.
+// resolve is Enter's slow path: find or create the node s pushes under
+// parent (through the outer frame's node for a Child scope) and rotate it
+// into the scope's inline cache.
 func (p *Profiler) resolve(s *Scope, parent int32) int32 {
-	key := uint64(uint32(parent))<<32 | uint64(uint32(s.frame))
+	n := parent
+	if s.outer != nil {
+		n = p.nodeFor(n, s.outer.frame)
+	}
+	n = p.nodeFor(n, s.frame)
+	s.p1, s.n1 = s.p0, s.n0
+	s.p0, s.n0 = parent, n
+	return n
+}
+
+// nodeFor finds or creates the (parent, frame) node. New nodes appear only
+// until the tree covers every reached (parent, frame) pair, so steady
+// state allocates nothing.
+func (p *Profiler) nodeFor(parent, frame int32) int32 {
+	key := uint64(uint32(parent))<<32 | uint64(uint32(frame))
 	n, ok := p.child[key]
 	if !ok {
 		n = int32(len(p.nodes))
 		p.nodes = append(p.nodes, node{ //tcnlint:hotpath tree grows once per distinct (parent, frame) pair, then the inline caches hit
 			parent: parent,
-			frame:  s.frame,
+			frame:  frame,
 			depth:  p.nodes[parent].depth + 1,
 		})
 		p.child[key] = n
 	}
-	s.p1, s.n1 = s.p0, s.n0
-	s.p0, s.n0 = parent, n
 	return n
 }
 

@@ -207,3 +207,78 @@ func TestEnterExitZeroAlloc(t *testing.T) {
 		t.Fatalf("Enter/Exit allocates %.1f per run, want 0", allocs)
 	}
 }
+
+// TestChildScopeMatchesTwoEnters pins Child's contract: one Enter of a
+// child scope leaves the deterministic plane exactly as entering its
+// outer frame and then its own would, under any parent, with the inline
+// cache cold, hit, and rotated.
+func TestChildScopeMatchesTwoEnters(t *testing.T) {
+	run := func(fused bool) *Profiler {
+		p := New(Config{})
+		eng := sim.NewEngine()
+		p.AttachEngine(eng)
+		host := p.NewScope("transport:data")
+		other := p.NewScope("sched:z")
+		port := p.NewScope("port:x")
+		var stage, stage2 *Scope
+		if fused {
+			stage, stage2 = port.Child("enqueue"), port.Child("dequeue")
+		} else {
+			stage, stage2 = p.NewScope("enqueue"), p.NewScope("dequeue")
+		}
+		enter := func(s *Scope) {
+			if !fused {
+				port.Enter()
+			}
+			s.Enter()
+		}
+		n := 0
+		var tick func()
+		tick = func() {
+			// Three parents in rotation, so the 2-way cache misses too.
+			switch n % 3 {
+			case 1:
+				host.Enter()
+			case 2:
+				other.Enter()
+			}
+			enter(stage)
+			if n%2 == 0 {
+				other.Enter()
+				p.Exit()
+			}
+			p.Exit()
+			p.Exit()
+			enter(stage2)
+			p.Exit()
+			p.Exit()
+			if n%3 != 0 {
+				p.Exit()
+			}
+			n++
+			if n < 50 {
+				eng.After(5*sim.Nanosecond, tick)
+			}
+		}
+		eng.After(0, tick)
+		eng.RunUntil(1000 * sim.Nanosecond)
+		p.FinishEngine(eng)
+		return p
+	}
+	two, fused := run(false), run(true)
+	if digestOf(two) != digestOf(fused) {
+		t.Fatalf("child scope tree differs from two Enters:\n%s\nvs\n%s", foldedOf(t, two), foldedOf(t, fused))
+	}
+	if foldedOf(t, fused) != foldedOf(t, two) {
+		t.Fatal("folded exports differ")
+	}
+	if !strings.Contains(foldedOf(t, fused), "engine;transport:data;port:x;enqueue;sched:z ") {
+		t.Fatalf("missing nested stage stack:\n%s", foldedOf(t, fused))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Child of a child scope did not panic")
+		}
+	}()
+	New(Config{}).NewScope("a").Child("b").Child("c")
+}

@@ -68,9 +68,6 @@ func main() {
 		spansFile    = flag.String("flow-spans", "", "write per-flow lifecycle spans (FCT, bytes, marks, drops, max sojourn) as CSV to this file ('-' = stdout)")
 		samplePeriod = flag.Duration("sample-period", 100*time.Microsecond, "flight-recorder probe polling period (simulated time)")
 
-		coreName = flag.String("core", sim.DefaultCore().String(),
-			"engine event store: 'wheel' (production timing wheel) or 'heap' (the differential oracle); same-seed runs are digest-identical under either, which the wheel-oracle CI job checks with tcndiff")
-
 		fpFile  = flag.String("fingerprint", "", "write the run-fingerprint digest timeline (per-component chained digests per epoch) as JSONL to this file ('-' = stdout); diff two runs with tcndiff")
 		fpEpoch = flag.Duration("fingerprint-epoch", time.Millisecond, "fingerprint snapshot period (simulated time); both runs of a tcndiff pair must use the same period")
 		fpFine  = flag.Int64("fingerprint-fine", -1, "record per-event digests bracketed around this epoch index (-1 = off); set to the epoch tcndiff reported to localize the first divergent event")
@@ -89,13 +86,9 @@ func main() {
 		return
 	}
 
-	switch *coreName {
-	case "wheel":
-		sim.SetDefaultCore(sim.CoreWheel)
-	case "heap":
-		sim.SetDefaultCore(sim.CoreHeap)
-	default:
-		fmt.Fprintf(os.Stderr, "-core %q must be 'wheel' or 'heap'\n", *coreName)
+	loadList, err := parseRunFlags(*loads, *seeds, *flows)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -206,7 +199,7 @@ func main() {
 		}
 		defer waitForShutdown(srv)
 	}
-	cfg := runConfig{flows: *flows, loads: parseLoads(*loads), seed: *seed, full: *full, seeds: *seeds, workers: *workers, exactFCT: *exactFCT}
+	cfg := runConfig{flows: *flows, loads: loadList, seed: *seed, full: *full, seeds: *seeds, workers: *workers, exactFCT: *exactFCT}
 	run, ok := runners[*exp]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
@@ -498,25 +491,40 @@ Flags: -flows N  -loads 0.5,0.9  -seed S  -full (paper scale)
        -profile-folded FILE  (same profile as folded flamegraph stacks;
           diff two runs with tcndiff -profile-a A -profile-b B)
        -profile-wall  (add wall-clock self-time per scope — telemetry
-          only, never digested; the deterministic planes stay identical)
-       -core wheel|heap  (engine event store; 'heap' is the differential
-          oracle — same-seed runs must be fingerprint-identical to 'wheel')`)
+          only, never digested; the deterministic planes stay identical)`)
 }
 
-func parseLoads(s string) []float64 {
+// parseRunFlags checks the numeric run flags before any cell runs, so bad
+// input exits with one line instead of a panic inside a sweep worker or a
+// silent no-op run.
+func parseRunFlags(loads string, seeds, flows int) ([]float64, error) {
+	if seeds < 1 {
+		return nil, fmt.Errorf("-seeds %d must be at least 1", seeds)
+	}
+	if flows < 0 {
+		return nil, fmt.Errorf("-flows %d must not be negative (0 = experiment default)", flows)
+	}
+	return parseLoads(loads)
+}
+
+// parseLoads parses a comma-separated load list; every load must lie in
+// (0, 1]. The empty string selects the experiment default (nil).
+func parseLoads(s string) ([]float64, error) {
 	if s == "" {
-		return nil
+		return nil, nil
 	}
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad load %q\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("-loads: bad load %q", part)
+		}
+		if !(v > 0 && v <= 1) { // also rejects NaN
+			return nil, fmt.Errorf("-loads: load %q out of (0, 1]", part)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
 func runFig1(c runConfig) {

@@ -15,8 +15,8 @@ type Component uint8
 
 // The component kinds, in pipeline order.
 const (
-	// ComponentEngine is the event engine: clock, heap shape, sequence
-	// and freelist generation counters.
+	// ComponentEngine is the event engine: clock, pending-set
+	// accumulator, sequence and freelist generation counters.
 	ComponentEngine Component = iota
 	// ComponentRand is a seeded random stream: its seed and draw count.
 	ComponentRand

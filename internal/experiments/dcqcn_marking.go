@@ -34,8 +34,9 @@ type DCQCNMarkingConfig struct {
 	Pmax       float64
 	// Seed feeds the marker's coin flips.
 	Seed int64
-	// Obs carries the self-telemetry campaign, if any; the DCQCN runs
-	// attach no per-port sinks, so only the Perf field is consulted.
+	// Obs carries the engine-level sinks, if any: the perf campaign, the
+	// fingerprint recorder, and the cost profiler. The DCQCN runs attach
+	// no per-port sinks.
 	Obs *Obs
 }
 
@@ -167,7 +168,7 @@ type DCQCNSweep struct {
 // marking at every sender count, each cell an independent engine.
 func RunDCQCNSweep(cfg DCQCNSweepConfig) DCQCNSweep {
 	cols := len(cfg.Senders)
-	flat := parallel.RunTracked(sweepWorkers(cfg.Workers, nil), 2*cols, cfg.Base.Obs.Tracker(),
+	flat := parallel.RunTracked(sweepWorkers(cfg.Workers, cfg.Base.Obs), 2*cols, cfg.Base.Obs.Tracker(),
 		func(i int) DCQCNMarkingResult {
 			c := cfg.Base
 			c.Probabilistic = i/cols == 1

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"tcn/internal/digest"
 	"tcn/internal/metrics"
 	"tcn/internal/obs"
 	"tcn/internal/obs/flight"
@@ -100,6 +101,27 @@ func TestDCQCNSweepParallelDeterminism(t *testing.T) {
 	par := snapshotJSON(t, RunDCQCNSweep(parallelCfg))
 	if serial != par {
 		t.Fatal("dcqcn sweep diverged between workers=1 and workers=8")
+	}
+}
+
+// TestDCQCNFingerprintedSweepRunsSerial: the fingerprint recorder is
+// shared by every cell, so a fingerprinted DCQCN sweep must run serially
+// at any requested width and record the serial run's timeline.
+func TestDCQCNFingerprintedSweepRunsSerial(t *testing.T) {
+	cfg := DefaultDCQCNSweep()
+	cfg.Senders = []int{2, 4}
+	cfg.Base.Warmup /= 4
+	cfg.Base.Measure /= 4
+	run := func(workers int) *digest.Timeline {
+		c := cfg
+		c.Workers = workers
+		rec := digest.New(digest.Config{})
+		c.Base.Obs = &Obs{Fingerprint: rec}
+		RunDCQCNSweep(c)
+		return rec.Timeline()
+	}
+	if rep := digest.Compare(run(1), run(8)); !rep.Identical {
+		t.Fatalf("fingerprinted dcqcn sweep at workers=8 diverged from workers=1: %s", rep.Divergence)
 	}
 }
 

@@ -276,9 +276,9 @@ func TestPprofRoundTrip(t *testing.T) {
 }
 
 // TestPprofDeterministic pins byte-identical exports across two identical
-// runs: the CI profile-smoke job diffs folded outputs across engine cores,
-// and that only holds if nothing about the encoding depends on map order
-// or wall state.
+// runs: the CI profile-smoke job diffs folded outputs across runs, and
+// that only holds if nothing about the encoding depends on map order or
+// wall state.
 func TestPprofDeterministic(t *testing.T) {
 	render := func() ([]byte, []byte) {
 		p := miniRun(New(Config{}))

@@ -1,28 +1,209 @@
 package sim
 
 import (
+	"slices"
+	"sort"
 	"testing"
-
-	"tcn/internal/digest"
 )
 
-// The wheel core must be observationally identical to the heap core: same
-// (at, seq) execution order, same clock at every callback, same engine
-// digest afterward. These tests drive both cores with byte-identical
-// workloads — randomized schedule/cancel/reschedule streams with
-// same-tick bursts, cascade-crossing horizons, and beyond-horizon spills —
-// and compare the full execution logs.
+// The engine's contract is the (at, seq) total order: events fire by time,
+// and in scheduling order within one instant. refModel states that
+// contract as plainly as possible — a slice of pending entries kept sorted
+// by (at, seq) — and shares no code with the timing wheel. refHarness
+// drives an engine and the model in lockstep through randomized
+// schedule/cancel/stop/run streams with same-tick bursts, cascade-crossing
+// horizons, and beyond-horizon spills: every engine callback must be the
+// model's next due entry, and after every op the engine's observable
+// state must equal the model's.
 
-// equivFiring records one callback execution: which event fired and when.
-type equivFiring struct {
-	tag int64
+// refEntry is one pending event of the reference model.
+type refEntry struct {
 	at  Time
+	seq uint64
+	tag int64
+}
+
+// refModel mirrors At/AtArg, Cancel, Stop, and Run/RunUntil.
+type refModel struct {
+	now       Time
+	seq       uint64
+	pending   []refEntry // sorted by (at, seq)
+	executed  uint64
+	canceled  uint64
+	highWater int
+	stopped   bool
+}
+
+// at schedules tag at t and returns its seq, the model's event reference.
+// The new seq is the largest yet, so it sorts after every entry at t.
+func (m *refModel) at(t Time, tag int64) uint64 {
+	i := sort.Search(len(m.pending), func(i int) bool { return m.pending[i].at > t })
+	m.pending = slices.Insert(m.pending, i, refEntry{t, m.seq, tag})
+	m.seq++
+	m.highWater = max(m.highWater, len(m.pending))
+	return m.seq - 1
+}
+
+// cancel removes the entry scheduled as seq; a fired or already-canceled
+// (stale) reference is a no-op.
+func (m *refModel) cancel(seq uint64) {
+	if i := slices.IndexFunc(m.pending, func(p refEntry) bool { return p.seq == seq }); i >= 0 {
+		m.pending = slices.Delete(m.pending, i, i+1)
+		m.canceled++
+	}
+}
+
+// pop fires the earliest entry due by deadline, unless the run stopped.
+func (m *refModel) pop(deadline Time) (refEntry, bool) {
+	if m.stopped || len(m.pending) == 0 || m.pending[0].at > deadline {
+		return refEntry{}, false
+	}
+	ent := m.pending[0]
+	m.pending = slices.Delete(m.pending, 0, 1)
+	m.now = ent.at
+	m.executed++
+	return ent, true
+}
+
+// endRun mirrors RunUntil's exit: the clock advances to a finite deadline
+// unless the run was stopped.
+func (m *refModel) endRun(deadline Time) {
+	if deadline != MaxTime && m.now < deadline && !m.stopped {
+		m.now = deadline
+	}
+}
+
+// pendSum recomputes the engine's pending accumulator from scratch.
+func (m *refModel) pendSum() uint64 {
+	var s uint64
+	for _, p := range m.pending {
+		s += pendMix(p.at, p.seq)
+	}
+	return s
+}
+
+// refRef pairs an engine reference with the model's reference to the same
+// event.
+type refRef struct {
+	ev  EventRef
+	seq uint64
+}
+
+// refHarness runs an engine and a refModel in lockstep. Every schedule,
+// cancel, stop, and run goes to both; onFire is the workload body each
+// callback runs after its firing has been checked against the model.
+type refHarness struct {
+	t        testing.TB
+	e        *Engine
+	m        refModel
+	refs     []refRef // indexed by tag
+	deadline Time     // of the RunUntil in progress
+	fire     func(any)
+	onFire   func(h *refHarness, tag int64)
+}
+
+func newRefHarness(t testing.TB, onFire func(h *refHarness, tag int64)) *refHarness {
+	h := &refHarness{t: t, e: NewEngine(), onFire: onFire}
+	h.fire = func(v any) {
+		tag := v.(int64)
+		want, ok := h.m.pop(h.deadline)
+		if !ok {
+			h.t.Fatalf("engine fired tag %d at %v; the model has nothing due", tag, h.e.Now())
+		}
+		if want.tag != tag || want.at != h.e.Now() {
+			h.t.Fatalf("engine fired tag %d at %v; the model's next is tag %d at %v",
+				tag, h.e.Now(), want.tag, want.at)
+		}
+		h.checkPending()
+		if h.onFire != nil {
+			h.onFire(h, tag)
+		}
+	}
+	return h
+}
+
+// after schedules the next tag d from now on both sides.
+func (h *refHarness) after(d Time) {
+	tag := int64(len(h.refs))
+	at := h.e.Now() + d
+	h.refs = append(h.refs, refRef{h.e.AtArg(at, h.fire, tag), h.m.at(at, tag)})
+}
+
+// cancel cancels the event scheduled with tag i, which may be stale.
+func (h *refHarness) cancel(i int) {
+	h.e.Cancel(h.refs[i].ev)
+	h.m.cancel(h.refs[i].seq)
+}
+
+func (h *refHarness) stop() {
+	h.e.Stop()
+	h.m.stopped = true
+}
+
+// runUntil runs both sides to deadline, then checks the engine left no
+// due event behind and agrees with the model on everything observable.
+func (h *refHarness) runUntil(deadline Time) {
+	h.deadline = deadline
+	h.m.stopped = false
+	before := h.m.executed
+	n := h.e.RunUntil(deadline)
+	if !h.m.stopped && len(h.m.pending) > 0 && h.m.pending[0].at <= deadline {
+		h.t.Fatalf("RunUntil(%v) returned with tag %d at %v still due",
+			deadline, h.m.pending[0].tag, h.m.pending[0].at)
+	}
+	if n != h.m.executed-before {
+		h.t.Fatalf("RunUntil(%v) reported %d events, the model fired %d", deadline, n, h.m.executed-before)
+	}
+	h.m.endRun(deadline)
+	h.check()
+}
+
+// checkPending compares the pending set's size and accumulator.
+func (h *refHarness) checkPending() {
+	h.t.Helper()
+	if got, want := h.e.Len(), len(h.m.pending); got != want {
+		h.t.Fatalf("Len() = %d, model has %d pending", got, want)
+	}
+	if got, want := h.e.pendSum, h.m.pendSum(); got != want {
+		h.t.Fatalf("pendSum = %016x, model's pending set sums to %016x", got, want)
+	}
+}
+
+// check compares every observable counter; call it between ops.
+func (h *refHarness) check() {
+	h.t.Helper()
+	h.checkPending()
+	e, m := h.e, &h.m
+	if e.Now() != m.now {
+		h.t.Fatalf("Now() = %v, model %v", e.Now(), m.now)
+	}
+	if e.Executed != m.executed {
+		h.t.Fatalf("Executed = %d, model %d", e.Executed, m.executed)
+	}
+	if e.Canceled() != m.canceled {
+		h.t.Fatalf("Canceled() = %d, model %d", e.Canceled(), m.canceled)
+	}
+	if e.PendingHighWater() != m.highWater {
+		h.t.Fatalf("PendingHighWater() = %d, model %d", e.PendingHighWater(), m.highWater)
+	}
+	if e.Scheduled() != m.seq {
+		h.t.Fatalf("Scheduled() = %d, model %d", e.Scheduled(), m.seq)
+	}
+}
+
+// drain runs both sides until nothing is pending; stops only pause it.
+func (h *refHarness) drain() {
+	for len(h.m.pending) > 0 {
+		h.runUntil(MaxTime)
+	}
+	if h.e.Len() != 0 {
+		h.t.Fatalf("engine holds %d events after the model drained", h.e.Len())
+	}
 }
 
 // equivMix derives per-event deterministic "randomness" from the event's
-// tag, so decisions made inside callbacks do not depend on a shared
-// generator (whose state would otherwise couple the two runs through the
-// very ordering property under test).
+// tag, so decisions made inside callbacks depend on nothing but which
+// event fired.
 func equivMix(tag int64) uint64 {
 	x := uint64(tag) * 0x9E3779B97F4A7C15
 	x ^= x >> 32
@@ -46,148 +227,91 @@ var equivDeltas = [...]Time{
 	Time(1) << 45,
 }
 
-// runEquivWorkload drives one engine core through ops pseudo-random steps
-// plus a final drain, returning the firing log and the engine digest. All
-// control-flow decisions come from the op-stream generator r (outside
-// callbacks) or from equivMix (inside callbacks), so two runs with the
-// same seed see byte-identical workloads regardless of core.
-func runEquivWorkload(core Core, seed int64, ops int) ([]equivFiring, uint64) {
-	e := NewEngineCore(core)
-	r := NewRand(seed)
-	var log []equivFiring
-	var refs []EventRef
-	var nextTag int64
-
-	var fire func(v any)
-	schedule := func(d Time) {
-		tag := nextTag
-		nextTag++
-		refs = append(refs, e.AfterArg(d, fire, tag))
+// refWorkload is the callback body of the property and fuzz tests. A third
+// of events schedule a follow-up (a ninth of those at the same instant,
+// extending the run in progress), some cancel an arbitrary ref — often
+// stale, which must be harmless — and some stop the run, leaving the
+// wheel to requeue a detached remainder behind any same-instant events
+// scheduled before the stop.
+func refWorkload(h *refHarness, tag int64) {
+	m := equivMix(tag)
+	if m%3 == 0 {
+		h.after(equivDeltas[(m>>8)%uint64(len(equivDeltas))])
 	}
-	fire = func(v any) {
-		tag := v.(int64)
-		log = append(log, equivFiring{tag, e.Now()})
-		m := equivMix(tag)
-		// A third of events schedule a follow-up; horizons derived from
-		// the tag so both cores make the same choice.
-		if m%3 == 0 {
-			schedule(equivDeltas[(m>>8)%uint64(len(equivDeltas))])
-		}
-		// Some events cancel an arbitrary outstanding ref (often stale —
-		// that must be harmless and identical on both cores).
-		if m%7 == 0 && len(refs) > 0 {
-			e.Cancel(refs[(m>>16)%uint64(len(refs))])
-		}
+	if m%7 == 0 {
+		h.cancel(int((m >> 16) % uint64(len(h.refs))))
 	}
-
-	for i := 0; i < ops; i++ {
-		switch c := r.Range(0, 100); {
-		case c < 55:
-			schedule(equivDeltas[r.Range(0, len(equivDeltas)-1)])
-		case c < 65:
-			// Same-tick burst: several events at one instant exercises
-			// the same-instant run drain.
-			d := equivDeltas[r.Range(0, len(equivDeltas)-1)]
-			for k := r.Range(2, 6); k > 0; k-- {
-				schedule(d)
-			}
-		case c < 80:
-			if len(refs) > 0 {
-				e.Cancel(refs[r.Range(0, len(refs)-1)])
-			}
-		default:
-			e.RunUntil(e.Now() + Time(r.Range(0, int(2*Millisecond))))
-		}
+	if m%11 == 0 {
+		h.stop()
 	}
-	e.Run()
-
-	h := digest.NewHash(uint64(seed))
-	e.DigestState(&h)
-	return log, h.Sum64()
 }
 
-// TestWheelHeapEquivalence is the property test: across seeds, the wheel
-// and heap cores must produce identical firing logs (same events, same
-// order, same clock) and identical engine digests.
-func TestWheelHeapEquivalence(t *testing.T) {
+// TestEngineMatchesReference is the property test: across seeds, pseudo-
+// random op streams keep the engine in lockstep with the reference model.
+func TestEngineMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		wheelLog, wheelSum := runEquivWorkload(CoreWheel, seed, 2000)
-		heapLog, heapSum := runEquivWorkload(CoreHeap, seed, 2000)
-		if len(wheelLog) != len(heapLog) {
-			t.Fatalf("seed %d: wheel fired %d events, heap %d", seed, len(wheelLog), len(heapLog))
-		}
-		for i := range wheelLog {
-			if wheelLog[i] != heapLog[i] {
-				t.Fatalf("seed %d: firing %d diverged: wheel (tag %d at %v), heap (tag %d at %v)",
-					seed, i, wheelLog[i].tag, wheelLog[i].at, heapLog[i].tag, heapLog[i].at)
+		h := newRefHarness(t, refWorkload)
+		r := NewRand(seed)
+		for i := 0; i < 2000; i++ {
+			switch c := r.Range(0, 100); {
+			case c < 55:
+				h.after(equivDeltas[r.Range(0, len(equivDeltas)-1)])
+			case c < 65:
+				// Same-tick burst: several events at one instant
+				// exercise the same-instant run drain.
+				d := equivDeltas[r.Range(0, len(equivDeltas)-1)]
+				for k := r.Range(2, 6); k > 0; k-- {
+					h.after(d)
+				}
+			case c < 80:
+				if len(h.refs) > 0 {
+					h.cancel(r.Range(0, len(h.refs)-1))
+				}
+			default:
+				h.runUntil(h.e.Now() + Time(r.Range(0, int(2*Millisecond))))
 			}
+			h.check()
 		}
-		if wheelSum != heapSum {
-			t.Fatalf("seed %d: digest diverged: wheel %016x, heap %016x", seed, wheelSum, heapSum)
-		}
-		if len(wheelLog) == 0 {
+		h.drain()
+		if h.m.executed == 0 {
 			t.Fatalf("seed %d: workload fired no events", seed)
 		}
 	}
 }
 
-// TestWheelHeapEquivalenceStop checks the equivalence across mid-run Stop:
-// a callback stops the engine, the wheel requeues its detached remainder,
-// and both cores must agree on what has and has not fired when the run
-// resumes.
-func TestWheelHeapEquivalenceStop(t *testing.T) {
-	run := func(core Core) ([]equivFiring, uint64) {
-		e := NewEngineCore(core)
-		var log []equivFiring
-		var tag int64
-		rec := func(v any) { log = append(log, equivFiring{v.(int64), e.Now()}) }
-		add := func(d Time) {
-			e.AfterArg(d, rec, tag)
-			tag++
+// TestEngineMatchesReferenceStop pins the mid-run Stop path: a callback
+// schedules a same-instant event and stops the engine, so the wheel
+// requeues the rest of its detached run behind that newer event. The
+// remainder must still fire first (smaller seq), and the clock must not
+// jump to the deadline of the stopped run.
+func TestEngineMatchesReferenceStop(t *testing.T) {
+	const stopTag = 5
+	h := newRefHarness(t, func(h *refHarness, tag int64) {
+		if tag == stopTag {
+			h.after(0)
+			h.stop()
 		}
-		// A same-instant burst with a Stop in the middle.
-		for i := 0; i < 5; i++ {
-			add(10 * Nanosecond)
-		}
-		stopTag := tag
-		e.AtArg(10*Nanosecond, func(v any) {
-			log = append(log, equivFiring{v.(int64), e.Now()})
-			e.Stop()
-		}, stopTag)
-		tag++
-		for i := 0; i < 4; i++ {
-			add(10 * Nanosecond)
-		}
-		add(20 * Nanosecond)
-		e.Run() // runs until the Stop
-		// Schedule more same-instant events while the remainder is parked,
-		// then drain: the requeued events must still fire first (smaller
-		// seq).
-		add(0)
-		e.Run()
-		h := digest.NewHash(7)
-		e.DigestState(&h)
-		return log, h.Sum64()
+	})
+	for i := 0; i < 10; i++ {
+		h.after(10 * Nanosecond) // tags 0..9, stopTag among them
 	}
-	wheelLog, wheelSum := run(CoreWheel)
-	heapLog, heapSum := run(CoreHeap)
-	if len(wheelLog) != len(heapLog) {
-		t.Fatalf("wheel fired %d, heap %d", len(wheelLog), len(heapLog))
+	h.after(20 * Nanosecond)
+	h.runUntil(15 * Nanosecond)
+	if h.e.Now() != 10*Nanosecond || h.e.Executed != stopTag+1 {
+		t.Fatalf("stopped run left now=%v executed=%d, want 10ns and %d", h.e.Now(), h.e.Executed, stopTag+1)
 	}
-	for i := range wheelLog {
-		if wheelLog[i] != heapLog[i] {
-			t.Fatalf("firing %d diverged: wheel %+v, heap %+v", i, wheelLog[i], heapLog[i])
-		}
-	}
-	if wheelSum != heapSum {
-		t.Fatalf("digest diverged: wheel %016x, heap %016x", wheelSum, heapSum)
+	h.after(0)
+	h.drain()
+	if h.e.Executed != 13 {
+		t.Fatalf("executed %d events, want 13", h.e.Executed)
 	}
 }
 
-// FuzzWheelHeapEquivalence interprets the fuzz input as an op stream and
-// cross-checks the cores on it. Each byte pair is one op: schedule at one
-// of the delta buckets, cancel an outstanding ref, or run a bounded chunk.
-func FuzzWheelHeapEquivalence(f *testing.F) {
+// FuzzEngineReference interprets the fuzz input as an op stream and runs
+// it in lockstep with the reference model. Each byte pair is one op:
+// schedule at one of the delta buckets, cancel a ref, or run a bounded
+// chunk; callbacks run refWorkload.
+func FuzzEngineReference(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x22, 0x53, 0x84, 0xb5, 0xe6, 0x17, 0x48, 0x79})
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0xfc, 0x00, 0x00, 0x00, 0x00})
 	f.Add([]byte{0x10, 0x90, 0x20, 0xa0, 0x30, 0xb0, 0x40, 0xc0, 0x50, 0xd0})
@@ -195,44 +319,21 @@ func FuzzWheelHeapEquivalence(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		run := func(core Core) ([]equivFiring, uint64) {
-			e := NewEngineCore(core)
-			var log []equivFiring
-			var refs []EventRef
-			var tag int64
-			rec := func(v any) { log = append(log, equivFiring{v.(int64), e.Now()}) }
-			for i := 0; i+1 < len(data); i += 2 {
-				op, arg := data[i], data[i+1]
-				switch op % 4 {
-				case 0, 1:
-					d := equivDeltas[int(arg)%len(equivDeltas)]
-					refs = append(refs, e.AfterArg(d, rec, tag))
-					tag++
-				case 2:
-					if len(refs) > 0 {
-						e.Cancel(refs[int(arg)%len(refs)])
-					}
-				case 3:
-					e.RunUntil(e.Now() + Time(arg)*Microsecond)
+		h := newRefHarness(t, refWorkload)
+		for i := 0; i+1 < len(data); i += 2 {
+			op, arg := data[i], data[i+1]
+			switch op % 4 {
+			case 0, 1:
+				h.after(equivDeltas[int(arg)%len(equivDeltas)])
+			case 2:
+				if len(h.refs) > 0 {
+					h.cancel(int(arg) % len(h.refs))
 				}
+			case 3:
+				h.runUntil(h.e.Now() + Time(arg)*Microsecond)
 			}
-			e.Run()
-			h := digest.NewHash(1)
-			e.DigestState(&h)
-			return log, h.Sum64()
+			h.check()
 		}
-		wheelLog, wheelSum := run(CoreWheel)
-		heapLog, heapSum := run(CoreHeap)
-		if len(wheelLog) != len(heapLog) {
-			t.Fatalf("wheel fired %d events, heap %d", len(wheelLog), len(heapLog))
-		}
-		for i := range wheelLog {
-			if wheelLog[i] != heapLog[i] {
-				t.Fatalf("firing %d diverged: wheel %+v, heap %+v", i, wheelLog[i], heapLog[i])
-			}
-		}
-		if wheelSum != heapSum {
-			t.Fatalf("digest diverged: wheel %016x, heap %016x", wheelSum, heapSum)
-		}
+		h.drain()
 	})
 }

@@ -5,21 +5,16 @@ import "testing"
 // The meter batches locally (meterBatch events) and flushes at every
 // RunUntil exit, so after any RunUntil returns — deadline reached, Stop
 // mid-run, or nothing scheduled at all — the published totals must equal
-// the engine's own counters exactly. These tests pin that contract on
-// both event cores; the profiler's FinishEngine and the perf campaign
-// both rely on it.
+// the engine's own counters exactly. These tests pin that contract; the
+// profiler's FinishEngine and the perf campaign both rely on it.
 
-// meterCores runs fn once per engine core.
-func meterCores(t *testing.T, fn func(t *testing.T, eng *Engine)) {
+// onWheel runs fn as the "wheel" subtest on a fresh engine, whose event
+// store is the timing wheel.
+func onWheel(t *testing.T, fn func(t *testing.T, eng *Engine)) {
 	t.Helper()
-	for _, core := range []struct {
-		name string
-		c    Core
-	}{{"wheel", CoreWheel}, {"heap", CoreHeap}} {
-		t.Run(core.name, func(t *testing.T) {
-			fn(t, NewEngineCore(core.c))
-		})
-	}
+	t.Run("wheel", func(t *testing.T) {
+		fn(t, NewEngine())
+	})
 }
 
 // checkExact asserts the meter matches the engine's truth.
@@ -37,7 +32,7 @@ func checkExact(t *testing.T, m *Meter, eng *Engine) {
 // stops mid-run: the exit flush must publish the partial batch and the
 // sim-time up to the stopping event, with nothing lost or double-counted.
 func TestMeterExactOnStopTermination(t *testing.T) {
-	meterCores(t, func(t *testing.T, eng *Engine) {
+	onWheel(t, func(t *testing.T, eng *Engine) {
 		var m Meter
 		eng.SetMeter(&m)
 		const total = 3*meterBatch + 17
@@ -68,7 +63,7 @@ func TestMeterExactOnStopTermination(t *testing.T) {
 // empty schedule executes nothing but still advances the clock to the
 // deadline, and that advance must reach the meter.
 func TestMeterExactOnZeroEventRun(t *testing.T) {
-	meterCores(t, func(t *testing.T, eng *Engine) {
+	onWheel(t, func(t *testing.T, eng *Engine) {
 		var m Meter
 		eng.SetMeter(&m)
 		eng.RunUntil(12345 * Nanosecond)
@@ -87,7 +82,7 @@ func TestMeterExactOnZeroEventRun(t *testing.T) {
 // the old meter, and the replacement must start from a clean baseline
 // rather than re-publishing progress the old meter already absorbed.
 func TestMeterDetachFlushesResidual(t *testing.T) {
-	meterCores(t, func(t *testing.T, eng *Engine) {
+	onWheel(t, func(t *testing.T, eng *Engine) {
 		var old Meter
 		eng.SetMeter(&old)
 		for i := 0; i < 10; i++ {

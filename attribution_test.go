@@ -77,7 +77,7 @@ func TestPacketPathZeroAllocWithLedgerAttached(t *testing.T) {
 // for run fingerprinting: with per-component digest chains snapshotting
 // every simulated millisecond (and the per-event fine digests live), the
 // steady-state packet path still allocates nothing. The recorder's
-// record store and every scope's scratch hash are preallocated; an epoch
+// epoch store and every scope's scratch hash are preallocated; an epoch
 // snapshot is pure field reads folded through the hash.
 func TestPacketPathZeroAllocWithFingerprintAttached(t *testing.T) {
 	if invariant.Enabled {
@@ -115,7 +115,7 @@ func TestPacketPathZeroAllocWithFingerprintAttached(t *testing.T) {
 
 	st := transport.NewStack(eng, transport.Config{CC: transport.DCTCP}, star.Hosts)
 	st.Start(&transport.Flow{ID: st.NewFlowID(), Src: 0, Dst: 1, Size: 1 << 40})
-	eng.RunUntil(50 * sim.Millisecond) // warm pools and the record store
+	eng.RunUntil(50 * sim.Millisecond) // warm pools and the epoch store
 
 	allocs := testing.AllocsPerRun(5, func() {
 		eng.RunUntil(eng.Now() + sim.Millisecond)

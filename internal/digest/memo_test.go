@@ -261,8 +261,8 @@ func BenchmarkSnapshot(b *testing.B) {
 					}
 				}
 				sc.Snapshot(int64(i))
-				if len(rec.records) > 1<<9 {
-					rec.records = rec.records[:0]
+				if len(rec.digests) > 1<<9 {
+					rec.digests, rec.snaps = rec.digests[:0], rec.snaps[:0]
 				}
 			}
 		})

@@ -1,6 +1,9 @@
 package digest
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Digestable is implemented by every simulator component that can fold
 // its externally observable state into a rolling hash. Implementations
@@ -21,8 +24,10 @@ type Config struct {
 	// EpochNs is the snapshot period in sim nanoseconds (default 1ms).
 	// Two comparable runs must use the same period so their epochs align.
 	EpochNs int64
-	// RecordCap preallocates the record store (default 1<<15 records).
-	// The store doubles past it, but a capacity-guarded run stays
+	// RecordCap preallocates the epoch store for this many records, one
+	// record being one chain digest (default 1<<15): the digest column
+	// and the snapshot log, which needs at most one entry per digest.
+	// Both double together past it, but a capacity-guarded run stays
 	// allocation-free — size it to epochs × components for pinned paths.
 	RecordCap int
 	// Fine enables per-event digests bracketed around FineAtEpoch: every
@@ -52,7 +57,9 @@ func (c Config) withDefaults() Config {
 // that component's state at that instant. Chained means each epoch's
 // digest folds in the previous one, so a component that diverges at epoch
 // E stays divergent at every later epoch — the monotonicity the diff
-// engine's binary search relies on.
+// engine's binary search relies on. A Recorder does not store Records:
+// it renders them from its columns (see Recorder.Records); a Timeline
+// read back from JSONL holds them as parsed.
 type Record struct {
 	Scope     string
 	Epoch     int64
@@ -78,13 +85,33 @@ type FineRecord struct {
 // components and the timeline stays O(cells × epochs × components), not
 // O(cells² × ...). The recorder is shared mutable state like the flight
 // recorder — attaching it forces a sweep serial (experiments.Obs.Active).
+//
+// The epoch store is two pointer-free columns, so the collector never
+// scans it: digests holds every chain digest in append order, and snaps
+// holds one entry per Scope.Snapshot, whose digests are the next
+// len(comps) entries of digests in registration order. Each scope's
+// (Component, label) table is stored once, in the scope, which Register
+// freezes at the first snapshot.
 type Recorder struct {
 	cfg     Config
 	seeded  uint64 // hash state after the seed, where every digest starts
 	scopes  []*Scope
 	byOwner map[any]*Scope
-	records []Record
+	digests []uint64
+	snaps   []snapEntry
 	fine    []FineRecord
+
+	// view is the Records rendering of the epoch store; it covers the
+	// first viewSnaps entries of snaps.
+	view      []Record
+	viewSnaps int
+}
+
+// snapEntry is one Scope.Snapshot in the snapshot log.
+type snapEntry struct {
+	at    int64 // sim ns
+	epoch int64
+	scope int32 // index into Recorder.scopes
 }
 
 // New returns an empty recorder.
@@ -94,7 +121,8 @@ func New(cfg Config) *Recorder {
 		cfg:     cfg,
 		seeded:  NewHash(cfg.Seed).h,
 		byOwner: map[any]*Scope{},
-		records: make([]Record, 0, cfg.RecordCap),
+		digests: make([]uint64, 0, cfg.RecordCap),
+		snaps:   make([]snapEntry, 0, cfg.RecordCap),
 	}
 }
 
@@ -120,6 +148,7 @@ func (r *Recorder) ScopeFor(owner any) *Scope {
 	}
 	s := &Scope{
 		rec:    r,
+		index:  int32(len(r.scopes)),
 		label:  fmt.Sprintf("cell%d", len(r.scopes)),
 		fineOn: r.cfg.Fine && r.cfg.FineAtEpoch == 0,
 	}
@@ -131,26 +160,49 @@ func (r *Recorder) ScopeFor(owner any) *Scope {
 // ScopeOf returns the scope registered for owner, or nil.
 func (r *Recorder) ScopeOf(owner any) *Scope { return r.byOwner[owner] }
 
-// Records returns the epoch records in append order (not a copy).
-func (r *Recorder) Records() []Record { return r.records }
+// Records returns the epoch records in append order: a view rendered
+// from the epoch store, 64 bytes per record against the store's 8 plus a
+// log entry per snapshot. The first call builds it; later calls extend
+// it by the snapshots taken since and, when there are none, return it
+// as it is without allocating. The result is shared, not a copy, and a
+// later call may move it.
+func (r *Recorder) Records() []Record {
+	if r.viewSnaps == len(r.snaps) {
+		return r.view
+	}
+	d := len(r.view)
+	r.view = slices.Grow(r.view, len(r.digests)-d)
+	for _, sn := range r.snaps[r.viewSnaps:] {
+		s := r.scopes[sn.scope]
+		for _, c := range s.comps {
+			r.view = append(r.view, Record{
+				Scope: s.label, Epoch: sn.epoch, At: sn.at,
+				Component: c.kind, Label: c.label, Digest: r.digests[d],
+			})
+			d++
+		}
+	}
+	r.viewSnaps = len(r.snaps)
+	return r.view
+}
 
 // FineRecords returns the fine records in append order (not a copy).
 func (r *Recorder) FineRecords() []FineRecord { return r.fine }
 
-// Timeline packages the recorder's current state for the diff engine,
-// sharing the underlying record slices.
+// Timeline packages the recorder's current state for the diff engine. Its
+// Records are the Records view (built on the first call that needs it)
+// and its Fine records share the fine store.
 func (r *Recorder) Timeline() *Timeline {
-	return &Timeline{Seed: r.cfg.Seed, EpochNs: r.cfg.EpochNs, Records: r.records, Fine: r.fine}
+	return &Timeline{Seed: r.cfg.Seed, EpochNs: r.cfg.EpochNs, Records: r.Records(), Fine: r.fine}
 }
 
-// growRecords at least doubles the record store's capacity. Left to
-// append, a store of a million records grows by 1.25× at a time and
-// clears and copies itself about four times over by the end of a long
-// fingerprinted run.
-func (r *Recorder) growRecords(n int) {
-	grown := make([]Record, len(r.records), 2*cap(r.records)+n)
-	copy(grown, r.records)
-	r.records = grown
+// grow at least doubles both columns of the epoch store, so they stay
+// sized together. Left to append, a store of a million digests grows by
+// 1.25× at a time and clears and copies itself about four times over by
+// the end of a long fingerprinted run.
+func (r *Recorder) grow(n int) {
+	r.digests = slices.Grow(r.digests, cap(r.digests)+n)
+	r.snaps = slices.Grow(r.snaps, cap(r.snaps)+1)
 }
 
 // registration pairs a component with its identity.
@@ -165,6 +217,7 @@ type registration struct {
 // methods run on the goroutine that owns the cell's engine.
 type Scope struct {
 	rec    *Recorder
+	index  int32 // in rec.scopes
 	label  string
 	comps  []registration
 	chain  []uint64
@@ -195,7 +248,8 @@ func (s *Scope) Epoch() int64 { return s.epoch }
 
 // Register adds a component to the scope. Registration order is the
 // digest order, so it must be deterministic (it is: cells build their
-// fabric in program order). Register before the first Snapshot.
+// fabric in program order). Register before the first Snapshot: the
+// recorder keeps one (Component, label) table per scope, not per record.
 func (s *Scope) Register(kind Component, label string, d Digestable) {
 	if d == nil {
 		panic(fmt.Sprintf("digest: nil Digestable registered as %s %q", kind, label))
@@ -220,28 +274,29 @@ func (s *Scope) start(chain uint64) uint64 {
 }
 
 // Snapshot records one epoch: every component's state is hashed, chained
-// onto its previous digest, and appended to the recorder. The digest is
-// FNV-1a over seed, previous digest and the component's DigestState bytes;
-// the kernel in memo.go re-hashes only the blocks that changed. at is the sim
-// time in nanoseconds. Allocation-free while the record store stays
-// within its preallocated capacity.
+// onto its previous digest, and appended to the recorder's digest column,
+// with one snapshot-log entry for the epoch. The digest is FNV-1a over
+// seed, previous digest and the component's DigestState bytes; the kernel
+// in memo.go re-hashes only the blocks that changed. at is the sim time in
+// nanoseconds. Allocation-free while the epoch store stays within its
+// preallocated capacity.
 func (s *Scope) Snapshot(at int64) {
-	if len(s.rec.records)+len(s.comps) > cap(s.rec.records) {
-		s.rec.growRecords(len(s.comps))
+	r := s.rec
+	if len(r.digests)+len(s.comps) > cap(r.digests) || len(r.snaps) == cap(r.snaps) {
+		r.grow(len(s.comps))
 	}
+	//tcnlint:hotpath capacity is ensured above (RecordCap, doubled by grow past it); this append never grows
+	r.snaps = append(r.snaps, snapEntry{at: at, epoch: s.epoch, scope: s.index})
 	s.collect()
 	for i := range s.comps {
 		d := s.fold(i, s.start(s.chain[i]))
 		s.chain[i] = d
-		//tcnlint:hotpath capacity is ensured above (RecordCap, doubled by growRecords past it); this append never grows
-		s.rec.records = append(s.rec.records, Record{
-			Scope: s.label, Epoch: s.epoch, At: at,
-			Component: s.comps[i].kind, Label: s.comps[i].label, Digest: d,
-		})
+		//tcnlint:hotpath capacity is ensured above (RecordCap, doubled by grow past it); this append never grows
+		r.digests = append(r.digests, d)
 	}
 	s.epoch++
-	s.fineOn = s.rec.cfg.Fine &&
-		s.epoch >= s.rec.cfg.FineAtEpoch && s.epoch <= s.rec.cfg.FineAtEpoch+1
+	s.fineOn = r.cfg.Fine &&
+		s.epoch >= r.cfg.FineAtEpoch && s.epoch <= r.cfg.FineAtEpoch+1
 }
 
 // FineSnapshot records one per-event digest when the fine bracket is

@@ -40,7 +40,7 @@ type lineJSON struct {
 }
 
 // hex64 renders a digest as a fixed-width hex string.
-func hex64(v uint64) string { return fmt.Sprintf("%016x", v) }
+func hex64(v uint64) string { return string(appendHex64(nil, v)) }
 
 // parseHex64 inverts hex64.
 func parseHex64(s string) (uint64, error) { return strconv.ParseUint(s, 16, 64) }
@@ -48,7 +48,11 @@ func parseHex64(s string) (uint64, error) { return strconv.ParseUint(s, 16, 64) 
 // WriteJSONL streams the timeline: one header line, every epoch record in
 // snapshot order, then every fine record. Append order is deterministic
 // (cells run serially under a recorder, snapshots fire on the sim clock),
-// so two identical runs export identical bytes.
+// so two identical runs export identical bytes. Epoch records are
+// rendered straight from the epoch store, never through the Records
+// view: each line is its scope's and component's pre-encoded JSON
+// fragments around the epoch, time and digest, byte for byte what
+// encoding/json writes for lineJSON.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -56,13 +60,26 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if err := enc.Encode(hdr); err != nil {
 		return err
 	}
-	for _, rec := range r.records {
-		if err := enc.Encode(lineJSON{
-			Scope: rec.Scope, Epoch: rec.Epoch, At: rec.At,
-			Component: rec.Component.String(), Label: rec.Label,
-			Digest: hex64(rec.Digest),
-		}); err != nil {
-			return err
+	frags := make([]scopeJSON, len(r.scopes))
+	for i, s := range r.scopes {
+		frags[i] = newScopeJSON(s)
+	}
+	var line []byte
+	d := 0
+	for _, sn := range r.snaps {
+		f := &frags[sn.scope]
+		for _, tail := range f.tails {
+			line = append(line[:0], f.head...)
+			line = strconv.AppendInt(line, sn.epoch, 10)
+			line = append(line, `,"at_ns":`...)
+			line = strconv.AppendInt(line, sn.at, 10)
+			line = append(line, tail...)
+			line = appendHex64(line, r.digests[d])
+			line = append(line, "\"}\n"...)
+			if _, err := bw.Write(line); err != nil {
+				return err
+			}
+			d++
 		}
 	}
 	for _, f := range r.fine {
@@ -74,6 +91,48 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// scopeJSON holds one scope's epoch-record line fragments: head runs
+// from the line's opening brace to the epoch value, and tails[i] from
+// after the time value to the opening quote of component i's digest.
+type scopeJSON struct {
+	head  []byte
+	tails [][]byte
+}
+
+// newScopeJSON pre-encodes s's fragments with encoding/json's string
+// encoder (HTML-safe escaping, as json.Encoder writes lineJSON), keeping
+// lineJSON's field order and omitempty rules. Scope labels and component
+// names are never empty; component labels may be.
+func newScopeJSON(s *Scope) scopeJSON {
+	f := scopeJSON{head: append(appendJSONField([]byte("{"), "scope", s.label), `,"epoch":`...)}
+	for _, c := range s.comps {
+		tail := appendJSONField([]byte(","), "component", c.kind.String())
+		if c.label != "" {
+			tail = appendJSONField(append(tail, ','), "label", c.label)
+		}
+		f.tails = append(f.tails, append(tail, `,"digest":"`...))
+	}
+	return f
+}
+
+// appendJSONField appends "key":value with value JSON-encoded.
+func appendJSONField(b []byte, key, value string) []byte {
+	v, _ := json.Marshal(value) // a string always marshals
+	b = append(b, '"')
+	b = append(b, key...)
+	b = append(b, `":`...)
+	return append(b, v...)
+}
+
+// appendHex64 appends v as 16 lower-case hex digits.
+func appendHex64(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>uint(shift)&0xf])
+	}
+	return b
 }
 
 // ReadTimeline parses a fingerprint JSONL stream written by WriteJSONL.
